@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -87,22 +88,38 @@ func EncodeCheckpoint(w io.Writer, st *Store, epoch uint64) error {
 		}
 	}
 
-	prefixes := make([]ipaddr.Prefix24, 0, len(st.sketches))
-	for p, sk := range st.sketches {
-		if sk.n > 0 { // an empty sketch carries no advice and no freshness
-			prefixes = append(prefixes, p)
+	// One sorted pass over the prefixes serves both sections: an address
+	// is its prefix then its last octet, so walking each prefix's rings in
+	// octet order emits the open section in address order.
+	keys := make([]ipaddr.Prefix24, 0, len(st.prefixes))
+	nSampled, nOpen := 0, 0
+	for p, ps := range st.prefixes {
+		keys = append(keys, p)
+		if ps.sampled() { // an empty sketch carries no advice and no freshness
+			nSampled++
+		}
+		if ps.open != nil {
+			for i := range ps.open {
+				if ps.open[i].n > 0 {
+					nOpen++
+				}
+			}
 		}
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
-	if err := put(uint64(len(prefixes))); err != nil {
+	slices.Sort(keys)
+	if err := put(uint64(nSampled)); err != nil {
 		return err
 	}
-	for _, p := range prefixes {
-		sk := st.sketches[p]
+	for _, p := range keys {
+		ps := st.prefixes[p]
+		if !ps.sampled() {
+			continue
+		}
+		sk := ps.sketch
 		if err := put(uint64(p)); err != nil {
 			return err
 		}
-		if err := put(uint64(st.updated[p])); err != nil {
+		if err := put(uint64(ps.updated)); err != nil {
 			return err
 		}
 		nnz := 0
@@ -127,34 +144,36 @@ func EncodeCheckpoint(w io.Writer, st *Store, epoch uint64) error {
 		}
 	}
 
-	addrs := make([]ipaddr.Addr, 0, len(st.open))
-	for a, pair := range st.open {
-		if pair.n > 0 {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if err := put(uint64(len(addrs))); err != nil {
+	if err := put(uint64(nOpen)); err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		pair := st.open[a]
-		if err := put(uint64(a)); err != nil {
-			return err
+	for _, p := range keys {
+		ps := st.prefixes[p]
+		if ps.open == nil {
+			continue
 		}
-		if err := put(uint64(pair.n)); err != nil {
-			return err
-		}
-		for i := 0; i < int(pair.n); i++ {
-			if err := put(uint64(pair.send[i])); err != nil {
+		for o := range ps.open {
+			pair := &ps.open[o]
+			if pair.n == 0 {
+				continue
+			}
+			if err := put(uint64(p.Addr(byte(o)))); err != nil {
 				return err
 			}
-			b := byte(0)
-			if pair.resolved[i] {
-				b = 1
-			}
-			if err := bw.WriteByte(b); err != nil {
+			if err := put(uint64(pair.n)); err != nil {
 				return err
+			}
+			for i := 0; i < int(pair.n); i++ {
+				if err := put(uint64(pair.send[i])); err != nil {
+					return err
+				}
+				b := byte(0)
+				if pair.resolved[i] {
+					b = 1
+				}
+				if err := bw.WriteByte(b); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -279,10 +298,8 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 			sk.counts[bi] = c
 			sk.n += c
 		}
-		st.sketches[p] = sk
-		if upd != 0 {
-			st.updated[p] = int64(upd)
-		}
+		st.prefixes[p] = &prefixState{sketch: sk, updated: int64(upd)}
+		st.sampled++
 	}
 
 	nOpen, err := get()
@@ -309,7 +326,8 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 		if n < 1 || n > 2 {
 			return corrupt("open %d ring size %d", i, n)
 		}
-		var pair openPair
+		a := ipaddr.Addr(av)
+		pair := st.state(a.Prefix()).ring(a.LastOctet())
 		pair.n = int8(n)
 		for j := 0; j < int(n); j++ {
 			send, err := get()
@@ -326,7 +344,6 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 			}
 			pair.resolved[j] = b == 1
 		}
-		st.open[ipaddr.Addr(av)] = pair
 	}
 
 	sum := cr.h.Sum32()
@@ -650,9 +667,9 @@ func CheckpointAge(st *Store, now int64) time.Duration {
 		return 0
 	}
 	var newest int64
-	for _, t := range st.updated {
-		if t > newest {
-			newest = t
+	for _, ps := range st.prefixes {
+		if ps.updated > newest {
+			newest = ps.updated
 		}
 	}
 	if newest == 0 || now < newest {

@@ -54,27 +54,33 @@ func TestCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 		t.Errorf("counters = %d/%d/%d, want %d/%d/%d",
 			st2.records, st2.matched, st2.delayed, st.records, st.matched, st.delayed)
 	}
-	if len(st2.sketches) != len(st.sketches) || len(st2.open) != len(st.open) {
-		t.Errorf("maps = %d sketches/%d open, want %d/%d",
-			len(st2.sketches), len(st2.open), len(st.sketches), len(st.open))
+	if len(st2.prefixes) != len(st.prefixes) || st2.Prefixes() != st.Prefixes() {
+		t.Errorf("prefixes = %d states/%d sampled, want %d/%d",
+			len(st2.prefixes), st2.Prefixes(), len(st.prefixes), st.Prefixes())
 	}
-	for p, sk := range st.sketches {
-		sk2 := st2.sketches[p]
-		if sk2 == nil || sk2.n != sk.n {
-			t.Fatalf("prefix %v sketch differs after round trip", p)
+	for p, ps := range st.prefixes {
+		ps2 := st2.prefixes[p]
+		if ps2 == nil {
+			t.Fatalf("prefix %v missing after round trip", p)
 		}
-		for i, c := range sk.counts {
-			if sk2.counts[i] != c {
-				t.Fatalf("prefix %v bucket %d = %d, want %d", p, i, sk2.counts[i], c)
+		if (ps.sketch == nil) != (ps2.sketch == nil) {
+			t.Fatalf("prefix %v sketch presence differs after round trip", p)
+		}
+		if ps.sketch != nil {
+			if ps2.sketch.n != ps.sketch.n {
+				t.Fatalf("prefix %v sketch differs after round trip", p)
+			}
+			for i, c := range ps.sketch.counts {
+				if ps2.sketch.counts[i] != c {
+					t.Fatalf("prefix %v bucket %d = %d, want %d", p, i, ps2.sketch.counts[i], c)
+				}
 			}
 		}
-		if st2.updated[p] != st.updated[p] {
-			t.Errorf("prefix %v freshness = %d, want %d", p, st2.updated[p], st.updated[p])
+		if ps2.updated != ps.updated {
+			t.Errorf("prefix %v freshness = %d, want %d", p, ps2.updated, ps.updated)
 		}
-	}
-	for a, pair := range st.open {
-		if st2.open[a] != pair {
-			t.Errorf("open %v = %+v, want %+v", a, st2.open[a], pair)
+		if (ps.open == nil) != (ps2.open == nil) || ps.open != nil && *ps2.open != *ps.open {
+			t.Errorf("prefix %v open rings differ after round trip", p)
 		}
 	}
 	// Canonical: re-encoding the decoded store is byte-identical.

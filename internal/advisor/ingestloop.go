@@ -40,8 +40,9 @@ type IngestConfig struct {
 	// skip counts harvested into the loop's stats.
 	Open func() (survey.RecordSource, error)
 	// Queue bounds the records in flight between the reader and the store
-	// (default 1024). A full queue blocks the reader — backpressure —
-	// instead of growing memory.
+	// (default 1024): the batches queued for the consumer plus the one it is
+	// applying. A full queue blocks the reader — backpressure — instead of
+	// growing memory.
 	Queue int
 	// Backoff is the initial retry delay after a failed open or a source
 	// error (default 100ms), doubling per consecutive failure up to
@@ -99,9 +100,10 @@ func (p *IngestProgress) Records() uint64 {
 	return p.records.Load()
 }
 
-// Queued returns the ingest queue depth at the last consume — the records
-// sitting between the reader and the store right now. A persistently full
-// queue means the consumer (store + publish + checkpoint) is the bottleneck.
+// Queued returns the ingest queue depth, in records, as of the consumer's
+// last batch — the records sitting between the reader and the store.
+// A persistently full queue means the consumer (store + publish +
+// checkpoint) is the bottleneck.
 func (p *IngestProgress) Queued() int64 {
 	if p == nil {
 		return 0
@@ -140,12 +142,12 @@ func (p *IngestProgress) CollectProm(w *obs.PromWriter) {
 	w.Sample("advisor_ingest_backoff_seconds", p.Backoff().Seconds())
 }
 
-// noteRecord records one consumed record and the queue depth behind it.
-func (p *IngestProgress) noteRecord(depth int64) {
+// noteBatch records n consumed records and the queue depth behind them.
+func (p *IngestProgress) noteBatch(n int, depth int64) {
 	if p == nil {
 		return
 	}
-	p.records.Add(1)
+	p.records.Add(uint64(n))
 	p.queued.Store(depth)
 }
 
@@ -236,12 +238,78 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// ingestBatch is how many records the reader hands the consumer at once
+// (capped at IngestConfig.Queue). Per-record channel hand-off made the
+// select and channel locking, not the store, the loop's main cost; a batch
+// pays it once per 256 records.
+const ingestBatch = 256
+
+// batchQueue is the bounded hand-off between RunIngest's reader and its
+// consumer: full batches flow forward over ch, emptied ones come back over
+// free, so a steady-state ingest allocates no batches at all.
+type batchQueue struct {
+	size   int                  // records per full batch
+	ch     chan []survey.Record // filled batches, reader → consumer
+	free   chan []survey.Record // emptied batches, consumer → reader
+	queued atomic.Int64         // records sitting in ch
+}
+
+// newBatchQueue sizes the hand-off so at most queue records are in flight:
+// the consumer's current batch plus queue/size-1 batches buffered in ch.
+func newBatchQueue(queue int) *batchQueue {
+	size := min(ingestBatch, queue)
+	depth := queue/size - 1
+	return &batchQueue{
+		size: size,
+		ch:   make(chan []survey.Record, depth),
+		// Every batch alive is in ch, with the consumer, or with the
+		// reader, so free never needs more room than that.
+		free: make(chan []survey.Record, depth+2),
+	}
+}
+
+// get returns an empty batch, recycled when one is free.
+func (q *batchQueue) get() []survey.Record {
+	select {
+	case b := <-q.free:
+		return b
+	default:
+		return make([]survey.Record, 0, q.size)
+	}
+}
+
+// put recycles an applied batch.
+func (q *batchQueue) put(b []survey.Record) {
+	select {
+	case q.free <- b[:0]:
+	default:
+	}
+}
+
+// send hands a non-empty batch to the consumer, blocking while the queue is
+// full, and reports false if ctx ended first.
+func (q *batchQueue) send(ctx context.Context, b []survey.Record) bool {
+	q.queued.Add(int64(len(b)))
+	select {
+	case q.ch <- b:
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
 // RunIngest tails cfg.Open into st, republishing via adv and checkpointing
 // via ck (both optional: nil adv skips publishing, nil ck no-ops saves), until
 // the source is exhausted (per Tail), the skip budget is blown, or ctx is
 // cancelled. Cancellation is the drain path and returns nil: the loop stops
-// consuming, publishes what it has, writes a final checkpoint, and hands
-// back. The returned stats are complete in every case.
+// consuming at the next batch boundary, publishes what it has, writes a
+// final checkpoint, and hands back. The returned stats are complete in every
+// case.
+//
+// Records cross from the reader to the store in batches, but publishing and
+// checkpointing stay exact per record: the consumer tests the cadence after
+// every record it applies, so publishes land at the same record counts —
+// with the same epochs — whatever the batch boundaries.
 //
 // Observability counters (advisor.ingest.loop.*) register on reg if the
 // caller wires one via RegisterIngestObs; RunIngest itself stays free of
@@ -260,15 +328,15 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 	}
 
 	var ctrs ingestCounters
-	recs := make(chan survey.Record, queue)
+	q := newBatchQueue(queue)
 	readErr := make(chan error, 1) // the reader's terminal error, if any
 	queueHWM := cfg.Obs.DiagGauge("advisor.ingest.loop.queue_hwm")
 
 	rctx, stopReader := context.WithCancel(ctx)
 	defer stopReader()
 	go func() {
-		defer close(recs)
-		readErr <- readLoop(rctx, &cfg, &ctrs, recs)
+		defer close(q.ch)
+		readErr <- readLoop(rctx, &cfg, &ctrs, q)
 	}()
 
 	var stats IngestStats
@@ -318,7 +386,7 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 			// the store already holds.
 			stopReader()
 			drained = true
-		case rec, ok := <-recs:
+		case batch, ok := <-q.ch:
 			if !ok {
 				err := <-readErr
 				if err == context.Canceled {
@@ -326,29 +394,36 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 				}
 				return finish(err)
 			}
-			st.Observe(rec)
-			stats.Records++
-			sinceCkpt++
-			cfg.Progress.noteRecord(int64(len(recs)))
-			queueHWM.Observe(int64(len(recs)))
-			if stats.Records%publishEvery == 0 {
-				epoch := publish()
-				if cfg.CheckpointEvery > 0 && sinceCkpt >= cfg.CheckpointEvery && ck != nil {
-					if err := checkpoint(epoch); err == nil {
-						stats.Checkpoints++
+			depth := q.queued.Add(-int64(len(batch)))
+			for _, rec := range batch {
+				st.Observe(rec)
+				stats.Records++
+				sinceCkpt++
+				if stats.Records%publishEvery == 0 {
+					epoch := publish()
+					if cfg.CheckpointEvery > 0 && sinceCkpt >= cfg.CheckpointEvery && ck != nil {
+						if err := checkpoint(epoch); err == nil {
+							stats.Checkpoints++
+						}
+						sinceCkpt = 0
 					}
-					sinceCkpt = 0
 				}
 			}
+			cfg.Progress.noteBatch(len(batch), depth)
+			queueHWM.Observe(depth)
+			q.put(batch)
 		}
 	}
 }
 
-// readLoop is RunIngest's reader side: open the source, pump records into
-// recs (blocking on a full queue — backpressure), harvest skip stats, back
-// off and reopen on failure. It returns nil on a clean end of input,
-// context.Canceled when stopped, or the terminal error (skip budget blown).
-func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs chan<- survey.Record) error {
+// readLoop is RunIngest's reader side: open the source, gather records into
+// batches and hand them to the consumer (blocking on a full queue —
+// backpressure), harvest skip stats, back off and reopen on failure. It
+// returns nil on a clean end of input, context.Canceled when stopped, or the
+// terminal error (skip budget blown). Whenever a source stops — EOF, error
+// or blown budget — its partial batch is handed over first, so every record
+// read reaches the store.
+func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, q *batchQueue) error {
 	var failures uint64 // consecutive, for backoff
 	var passes int      // clean EOFs seen, for Tail
 	for {
@@ -387,6 +462,7 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs
 			return nil
 		}
 		srcErr := func() error {
+			batch := q.get()
 			for {
 				rec, err := src.Read()
 				harvest()
@@ -395,15 +471,20 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs
 				// forwarding, so a lenient source that skips unboundedly
 				// between two good records cannot outrun it.
 				if berr := overBudget(); berr != nil {
-					return berr
+					err = berr
 				}
 				if err != nil {
+					if len(batch) > 0 && !q.send(ctx, batch) {
+						return context.Canceled
+					}
 					return err
 				}
-				select {
-				case recs <- rec:
-				case <-ctx.Done():
-					return context.Canceled
+				batch = append(batch, rec)
+				if len(batch) == q.size {
+					if !q.send(ctx, batch) {
+						return context.Canceled
+					}
+					batch = q.get()
 				}
 			}
 		}()

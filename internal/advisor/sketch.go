@@ -28,11 +28,7 @@
 // each re-publish is a new epoch whose advice reflects the latest window.
 package advisor
 
-import (
-	"time"
-
-	"timeouts/internal/stats"
-)
+import "time"
 
 // The advice bucket ladder: a 1-1.5-2-3-5-7 subdivision of each decade from
 // 100 µs through 100 s, capped at 1000 s. It is finer than the obs metric
@@ -119,6 +115,38 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	if s.n == 0 {
 		return 0, false
 	}
+	var row [1]time.Duration
+	levels := [1]float64{p}
+	s.levelRow(row[:], levels[:])
+	return row[0], true
+}
+
+// levelRow fills row[i] with Quantile(levels[i]) for every level, in one
+// cumulative pass over the buckets: levels must ascend, so their
+// nearest-rank targets do too, and each bucket settles every level whose
+// target the running count has reached. The sketch must be non-empty.
+func (s *Sketch) levelRow(row []time.Duration, levels []float64) {
+	li := 0
+	target := s.rank(levels[0])
+	var cum uint64
+	for i, c := range s.counts {
+		cum += c
+		for cum >= target {
+			row[li] = maxAdvice
+			if i < len(bucketBounds) {
+				row[li] = bucketBounds[i]
+			}
+			if li++; li == len(levels) {
+				return
+			}
+			target = s.rank(levels[li])
+		}
+	}
+}
+
+// rank returns the nearest-rank target of the p-th percentile: ceil(p% of
+// n), at least 1 and at most n.
+func (s *Sketch) rank(p float64) uint64 {
 	target := uint64(p / 100 * float64(s.n))
 	if float64(target) < p/100*float64(s.n) || target == 0 {
 		target++ // ceil, and at least rank 1
@@ -126,36 +154,5 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	if target > s.n {
 		target = s.n
 	}
-	var cum uint64
-	for i, c := range s.counts {
-		cum += c
-		if cum >= target {
-			if i == len(bucketBounds) {
-				return maxAdvice, true
-			}
-			return bucketBounds[i], true
-		}
-	}
-	return maxAdvice, true // unreachable: cum == n >= target
-}
-
-// Quantiles extracts the paper's standard percentile vector from the
-// sketch. ok is false when the sketch is empty.
-func (s *Sketch) Quantiles() (stats.Quantiles, bool) {
-	if s.n == 0 {
-		return stats.Quantiles{}, false
-	}
-	at := func(p float64) time.Duration {
-		v, _ := s.Quantile(p)
-		return v
-	}
-	return stats.Quantiles{
-		P1:  at(1),
-		P50: at(50),
-		P80: at(80),
-		P90: at(90),
-		P95: at(95),
-		P98: at(98),
-		P99: at(99),
-	}, true
+	return target
 }

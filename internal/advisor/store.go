@@ -12,10 +12,15 @@ import (
 // Store is the advisor's ingest side: per-/24 latency sketches plus the
 // core.StreamMatcher-style bounded attribution state that recovers delayed
 // responses — the paper's central trick, without which advice would miss
-// exactly the surprisingly-high-delay tail it exists to serve. Memory is
-// O(prefixes + addresses-with-open-probes): each address holds at most the
-// last two probes (the only ones a future unmatched response can still be
-// attributed to), each prefix one fixed-size Sketch.
+// exactly the surprisingly-high-delay tail it exists to serve.
+//
+// Everything the store knows about one /24 lives in a single prefixState —
+// its sketch, its freshness stamp and its open-probe rings — so each record
+// costs one map lookup, keyed by prefix: the same "Less is More" aggregation
+// the advice itself makes (PAPERS.md). Memory is one fixed-size Sketch per
+// sampled prefix plus 6 KiB of rings (256 × openPair) per prefix with open
+// probes; each address holds at most its last two probes, the only ones a
+// future unmatched response can still be attributed to.
 //
 // A Store is single-writer: the sharded engine gives each shard its own
 // Store and merges afterwards (Merge), exactly as it does per-shard
@@ -23,9 +28,8 @@ import (
 // is the Advisor's job — Publish reads the sketches into an immutable
 // snapshot, so the store itself needs no locks.
 type Store struct {
-	sketches map[ipaddr.Prefix24]*Sketch
-	updated  map[ipaddr.Prefix24]int64 // wall time (unix ns) of each prefix's newest sample
-	open     map[ipaddr.Addr]openPair
+	prefixes map[ipaddr.Prefix24]*prefixState
+	sampled  int // prefixes holding a sketch
 	records  uint64
 	matched  uint64
 	delayed  uint64
@@ -40,8 +44,16 @@ type Store struct {
 	obsPrefixes *obs.Gauge
 }
 
+// prefixState is the store's whole state for one /24.
+type prefixState struct {
+	sketch  *Sketch        // nil until the prefix's first sample
+	updated int64          // wall time (unix ns) of the newest sample; 0 = unknown
+	open    *[256]openPair // open-probe rings by last octet; nil until the first probe
+}
+
 // openPair is one address's open-probe ring: the last two probe send times,
-// mirroring core.StreamMatcher's eviction discipline.
+// mirroring core.StreamMatcher's eviction discipline. n == 0 is an address
+// with no open probe.
 type openPair struct {
 	send     [2]int64 // send times, ns; [n-1] newest
 	resolved [2]bool  // matched or already credited with a delayed response
@@ -50,11 +62,7 @@ type openPair struct {
 
 // NewStore creates an empty ingest store.
 func NewStore() *Store {
-	return &Store{
-		sketches: make(map[ipaddr.Prefix24]*Sketch),
-		updated:  make(map[ipaddr.Prefix24]int64),
-		open:     make(map[ipaddr.Addr]openPair),
-	}
+	return &Store{prefixes: make(map[ipaddr.Prefix24]*prefixState)}
 }
 
 // SetClock installs the clock that stamps per-prefix freshness (nil restores
@@ -71,9 +79,6 @@ func (s *Store) now() int64 {
 	}
 	return time.Now().UnixNano()
 }
-
-// touch stamps a prefix as freshly sampled.
-func (s *Store) touch(p ipaddr.Prefix24) { s.updated[p] = s.now() }
 
 // SetObserver registers the store's ingest metrics on reg. All three are
 // deterministic-class: record streams arrive in dataset emission order,
@@ -92,28 +97,51 @@ func (s *Store) Records() uint64 { return s.records }
 func (s *Store) Samples() uint64 { return s.matched + s.delayed }
 
 // Prefixes returns how many /24 prefixes hold a sketch.
-func (s *Store) Prefixes() int { return len(s.sketches) }
+func (s *Store) Prefixes() int { return s.sampled }
 
-// sketch returns (creating if needed) the prefix's sketch.
-func (s *Store) sketch(p ipaddr.Prefix24) *Sketch {
-	sk := s.sketches[p]
-	if sk == nil {
-		sk = NewSketch()
-		s.sketches[p] = sk
-		s.obsPrefixes.Observe(int64(len(s.sketches)))
+// state returns (creating if needed) the prefix's state.
+func (s *Store) state(p ipaddr.Prefix24) *prefixState {
+	ps := s.prefixes[p]
+	if ps == nil {
+		ps = &prefixState{}
+		s.prefixes[p] = ps
 	}
-	return sk
+	return ps
+}
+
+// sketchOf returns (creating if needed) the prefix's sketch.
+func (s *Store) sketchOf(ps *prefixState) *Sketch {
+	if ps.sketch == nil {
+		ps.sketch = NewSketch()
+		s.sampled++
+		s.obsPrefixes.Observe(int64(s.sampled))
+	}
+	return ps.sketch
+}
+
+// sample folds one latency sample into the prefix's sketch and stamps the
+// prefix as freshly sampled.
+func (s *Store) sample(ps *prefixState, d time.Duration) {
+	s.sketchOf(ps).Add(d)
+	ps.updated = s.now()
+	s.obsSamples.Inc()
+}
+
+// ring returns the open-probe ring of the address with the given last
+// octet, allocating the prefix's rings on first use.
+func (ps *prefixState) ring(octet byte) *openPair {
+	if ps.open == nil {
+		ps.open = new([256]openPair)
+	}
+	return &ps.open[octet]
 }
 
 // Add folds one directly measured latency sample for addr into its prefix
 // sketch — the entry point for the live rtt plane, where the RTT is known
 // without record-stream attribution.
 func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
-	p := addr.Prefix()
-	s.sketch(p).Add(rtt)
-	s.touch(p)
+	s.sample(s.state(addr.Prefix()), rtt)
 	s.matched++
-	s.obsSamples.Inc()
 }
 
 // Write implements survey.RecordWriter, so a survey (sequential or sharded)
@@ -133,36 +161,26 @@ func (s *Store) Observe(rec survey.Record) {
 	s.obsRecords.Inc()
 	switch rec.Type {
 	case survey.RecMatched:
-		st := s.open[rec.Addr]
-		st.push(int64(rec.When), true)
-		s.open[rec.Addr] = st
-		p := rec.Addr.Prefix()
-		s.sketch(p).Add(rec.RTT)
-		s.touch(p)
+		ps := s.state(rec.Addr.Prefix())
+		ps.ring(rec.Addr.LastOctet()).push(int64(rec.When), true)
+		s.sample(ps, rec.RTT)
 		s.matched++
-		s.obsSamples.Inc()
 	case survey.RecTimeout:
-		st := s.open[rec.Addr]
-		st.push(int64(rec.When), false)
-		s.open[rec.Addr] = st
+		s.state(rec.Addr.Prefix()).ring(rec.Addr.LastOctet()).push(int64(rec.When), false)
 	case survey.RecUnmatched:
-		st, ok := s.open[rec.Addr]
-		if !ok {
+		ps := s.prefixes[rec.Addr.Prefix()]
+		if ps == nil || ps.open == nil {
 			return
 		}
+		st := &ps.open[rec.Addr.LastOctet()]
 		for i := int(st.n) - 1; i >= 0; i-- {
 			if st.send[i] >= int64(rec.When) {
 				continue
 			}
 			if !st.resolved[i] {
 				st.resolved[i] = true
-				s.open[rec.Addr] = st
-				lat := rec.When - time.Duration(st.send[i])
-				p := rec.Addr.Prefix()
-				s.sketch(p).Add(lat)
-				s.touch(p)
+				s.sample(ps, rec.When-time.Duration(st.send[i]))
 				s.delayed++
-				s.obsSamples.Inc()
 			}
 			break
 		}
@@ -203,7 +221,8 @@ func (s *Store) Consume(src survey.RecordSource) error {
 // the per-prefix maximum, counters add, and open attribution state unions.
 // Shards partition the address space, so open-state keys never collide in
 // sharded use; on a collision the entry with more recent probes wins,
-// keeping the merge deterministic for any fixed merge order.
+// keeping the merge deterministic for any fixed merge order. other is left
+// unchanged: s copies what it takes.
 //
 // Counter/metric agreement: the folded record and sample counts are also
 // mirrored into s's obs counters, so a store observed on a registry keeps
@@ -215,22 +234,25 @@ func (s *Store) Consume(src survey.RecordSource) error {
 // sharded discipline anyway: shard stores are plain, the accumulator owns
 // the metrics.
 func (s *Store) Merge(other *Store) {
-	for p, sk := range other.sketches {
-		mine := s.sketches[p]
-		if mine == nil {
-			s.sketch(p).Merge(sk)
+	for p, o := range other.prefixes {
+		ps := s.state(p)
+		if o.sketch != nil {
+			s.sketchOf(ps).Merge(o.sketch)
+		}
+		if o.updated > ps.updated {
+			ps.updated = o.updated
+		}
+		if o.open == nil {
 			continue
 		}
-		mine.Merge(sk)
-	}
-	for p, t := range other.updated {
-		if t > s.updated[p] {
-			s.updated[p] = t
-		}
-	}
-	for a, st := range other.open {
-		if cur, ok := s.open[a]; !ok || st.newest() > cur.newest() {
-			s.open[a] = st
+		for i := range o.open {
+			st := &o.open[i]
+			if st.n == 0 {
+				continue
+			}
+			if cur := ps.ring(byte(i)); cur.n == 0 || st.newest() > cur.newest() {
+				*cur = *st
+			}
 		}
 	}
 	s.records += other.records
@@ -238,13 +260,11 @@ func (s *Store) Merge(other *Store) {
 	s.delayed += other.delayed
 	s.obsRecords.Add(other.records)
 	s.obsSamples.Add(other.matched + other.delayed)
-	s.obsPrefixes.Observe(int64(len(s.sketches)))
+	s.obsPrefixes.Observe(int64(s.sampled))
 }
 
-// newest returns the newest open probe send time (or a sentinel past).
-func (p openPair) newest() int64 {
-	if p.n == 0 {
-		return -1
-	}
-	return p.send[p.n-1]
-}
+// newest returns the newest open probe send time. The pair must hold one.
+func (p *openPair) newest() int64 { return p.send[p.n-1] }
+
+// sampled reports whether the prefix holds advice: a non-empty sketch.
+func (ps *prefixState) sampled() bool { return ps.sketch != nil && ps.sketch.n > 0 }
