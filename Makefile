@@ -26,9 +26,11 @@ race:
 	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey
 
 # Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the P²
-# quantile invariants (FuzzP2AgainstExact), and the dataset readers
+# quantile invariants (FuzzP2AgainstExact), the dataset readers
 # (FuzzOpenSource strict+lenient over all three formats, FuzzCompactReader
-# on the varint decoder); seeds alone run in `make test`.
+# on the varint decoder), and the advisor store against its reference
+# three-map implementation (FuzzStoreObserve); seeds alone run in
+# `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=30s ./internal/stats
@@ -36,6 +38,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=30s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/advisor
+	$(GO) test -run=Fuzz -fuzz=FuzzStoreObserve -fuzztime=30s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=30s ./internal/zmapper
 
 # Faster fuzz smoke for CI: same targets, 10 s each.
@@ -46,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=10s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/advisor
+	$(GO) test -run=Fuzz -fuzz=FuzzStoreObserve -fuzztime=10s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=10s ./internal/zmapper
 
 # The chaos suite: every fault-injection test (TestChaos*) under the race

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/obs"
 	"timeouts/internal/survey"
+	"timeouts/internal/xrand"
 )
 
 // benchAdvisor builds an advisor with a published snapshot over nPrefixes
@@ -176,21 +178,114 @@ func BenchmarkPromEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreObserve measures the steady-state ingest cost: one matched
-// record folded into an existing prefix sketch plus open-probe bookkeeping.
-// The address set is pre-populated so the timer never sees map growth.
-func BenchmarkStoreObserve(b *testing.B) {
-	st := NewStore()
-	rec := survey.Record{Type: survey.RecMatched, RTT: time.Millisecond, When: time.Second}
-	for i := 0; i < 1024; i++ {
-		rec.Addr = ipaddr.Addr(0x0a000001 + uint32(i)<<8)
-		st.Observe(rec)
+// benchStream is a recorded ingest stream over 512 fully probed /24s: two
+// sweeps of every address, each record's type drawn with the shares of the
+// benchmark's vantage-c survey dataset (21% matched, 76% timeout, 1.5%
+// unmatched, 1.4% ICMP error). Unmatched records arrive after the previous
+// sweep's probe of the same address, so they recover delayed samples.
+func benchStream() []survey.Record {
+	const addrs = 512 * 256
+	recs := make([]survey.Record, 0, 2*addrs)
+	for sweep := 0; sweep < 2; sweep++ {
+		for i := 0; i < addrs; i++ {
+			rec := survey.Record{
+				Type: survey.RecTimeout,
+				Addr: ipaddr.Addr(0x0a000000 + uint32(i)),
+				When: time.Duration(sweep*addrs+i) * time.Millisecond,
+			}
+			switch h := xrand.Hash(uint64(sweep), uint64(i)) % 1000; {
+			case h < 210:
+				rec.Type = survey.RecMatched
+				rec.RTT = time.Duration(1+h) * time.Millisecond
+			case h < 225:
+				rec.Type = survey.RecUnmatched
+			case h < 239:
+				rec.Type = survey.RecError
+			}
+			recs = append(recs, rec)
+		}
 	}
+	return recs
+}
+
+// streamSource replays benchStream for n records, shifting each replay's
+// times past the previous one's so attribution keeps seeing fresh probes.
+type streamSource struct {
+	recs []survey.Record
+	n, i int
+	span time.Duration
+}
+
+func newStreamSource(recs []survey.Record, n int) *streamSource {
+	return &streamSource{recs: recs, n: n, span: recs[len(recs)-1].When + time.Millisecond}
+}
+
+func (s *streamSource) Read() (survey.Record, error) {
+	if s.i == s.n {
+		return survey.Record{}, io.EOF
+	}
+	rec := s.recs[s.i%len(s.recs)]
+	rec.When += time.Duration(s.i/len(s.recs)) * s.span
+	s.i++
+	return rec, nil
+}
+
+// warmStore returns a store that has ingested the stream once, so every
+// prefix's sketch and rings exist and the timer sees no map growth.
+func warmStore(b *testing.B, recs []survey.Record) *Store {
+	st := NewStore()
+	if err := st.Consume(newStreamSource(recs, len(recs))); err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkStoreObserve measures the steady-state ingest cost per record
+// on the realistic mixed stream: one state lookup, open-probe bookkeeping,
+// and a sketch add for matched and recovered-delayed records.
+func BenchmarkStoreObserve(b *testing.B) {
+	recs := benchStream()
+	st := warmStore(b, recs)
+	src := newStreamSource(recs, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Addr = ipaddr.Addr(0x0a000001 + uint32(i&1023)<<8)
-		rec.RTT = time.Duration(i%1000) * time.Millisecond
+		rec, _ := src.Read()
 		st.Observe(rec)
+	}
+}
+
+// BenchmarkRunIngest measures the supervised ingest loop per record — the
+// batched reader/consumer hand-off plus Observe — on the same stream from
+// an in-memory source, with the default queue and publish cadence. Emptied
+// batches are recycled, so the steady state reports 0 allocs/op (one op is
+// one record; TestRunIngestSteadyStateAllocs pins it without a publisher).
+func BenchmarkRunIngest(b *testing.B) {
+	recs := benchStream()
+	st := warmStore(b, recs)
+	adv := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	stats, err := RunIngest(context.Background(), IngestConfig{
+		Open: func() (survey.RecordSource, error) { return newStreamSource(recs, b.N), nil },
+	}, st, adv, nil)
+	if err != nil || stats.Records != uint64(b.N) {
+		b.Fatalf("RunIngest = %d records, %v; want %d", stats.Records, err, b.N)
+	}
+}
+
+// BenchmarkSnapshotPublish measures one advice publish over 512 sampled
+// prefixes: the sorted prefix index, each prefix's level row, and the
+// population matrix.
+func BenchmarkSnapshotPublish(b *testing.B) {
+	st := warmStore(b, benchStream())
+	if st.Prefixes() != 512 {
+		b.Fatalf("%d prefixes, want 512", st.Prefixes())
+	}
+	adv := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		adv.Publish(st)
 	}
 }

@@ -41,7 +41,8 @@ type healthResponse struct {
 	SnapshotAgeS float64 `json:"snapshot_age_s"`
 	// IngestRecords and IngestQueue report the live ingest loop when one is
 	// wired (WithIngestProgress): records consumed so far and the queue
-	// depth between reader and store. IngestBackoffS is the source-retry
+	// depth between reader and store, in records, both updated once per
+	// ingest batch. IngestBackoffS is the source-retry
 	// backoff currently in progress (0 when the feed is healthy) — together
 	// they answer "is this advisor falling behind its feed" from the same
 	// endpoint that answers "is it up".

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -358,4 +360,220 @@ func TestRunIngestBoundedQueue(t *testing.T) {
 	if err != nil || stats.Records != 2000 {
 		t.Fatalf("Records = %d, %v; want 2000 through a 4-deep queue", stats.Records, err)
 	}
+}
+
+// TestRunIngestSourceErrorFlushesPartialBatch: a source that dies after a
+// record count that is not a multiple of the batch size still delivers
+// every record it yielded — the reader hands over its partial batch before
+// backing off.
+func TestRunIngestSourceErrorFlushesPartialBatch(t *testing.T) {
+	for _, n := range []int{1, ingestBatch - 1, ingestBatch + 1, 3*ingestBatch + 44} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			recs := ingestRecs(n)
+			var opens atomic.Int64
+			cfg := IngestConfig{
+				Open: func() (survey.RecordSource, error) {
+					if opens.Add(1) == 1 {
+						return &errAfterSource{recs: recs}, nil
+					}
+					return survey.NewSliceSource(nil), nil
+				},
+				Backoff: time.Millisecond,
+			}
+			st := NewStore()
+			stats, err := RunIngest(context.Background(), cfg, st, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Records != uint64(n) || st.Records() != uint64(n) || stats.SourceErrors != 1 {
+				t.Errorf("Records = %d (store %d), SourceErrors = %d; want %d, %d, 1",
+					stats.Records, st.Records(), stats.SourceErrors, n, n)
+			}
+		})
+	}
+}
+
+// TestRunIngestPublishCadenceIsPerRecord: publish intervals that do not
+// divide the batch size still publish at exactly every PublishEvery
+// records, epoch k holding k×PublishEvery records, as per-record hand-off
+// did. Checkpointing at every publish makes each epoch's store readable.
+func TestRunIngestPublishCadenceIsPerRecord(t *testing.T) {
+	const n = 2610
+	for _, every := range []uint64{50, 1000} {
+		t.Run(fmt.Sprint(every), func(t *testing.T) {
+			dir := t.TempDir()
+			recs := ingestRecs(n)
+			cfg := IngestConfig{
+				Open:            func() (survey.RecordSource, error) { return survey.NewSliceSource(recs), nil },
+				PublishEvery:    every,
+				CheckpointEvery: every,
+			}
+			st := NewStore()
+			now := int64(1)
+			st.SetClock(func() int64 { return now })
+			adv := New()
+			ck := &Checkpointer{Dir: dir, Keep: 1000}
+			stats, err := RunIngest(context.Background(), cfg, st, adv, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := uint64(n) / every
+			if stats.Publishes != in+1 || adv.Current().Epoch() != in+1 {
+				t.Fatalf("Publishes = %d, final epoch %d; want %d and %d",
+					stats.Publishes, adv.Current().Epoch(), in+1, in+1)
+			}
+			names := ck.generations()
+			if uint64(len(names)) != in+1 {
+				t.Fatalf("%d checkpoint generations, want %d", len(names), in+1)
+			}
+			for _, name := range names {
+				f, err := os.Open(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, epoch, err := DecodeCheckpoint(f)
+				f.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := min(epoch*every, n)
+				if got.Records() != want {
+					t.Errorf("epoch %d holds %d records, want %d", epoch, got.Records(), want)
+				}
+			}
+		})
+	}
+}
+
+// aheadSource yields matched records and tracks how far it ever ran ahead
+// of the records the consumer has applied, as the live progress reports
+// them.
+type aheadSource struct {
+	n, read  int
+	progress *IngestProgress
+	maxAhead int
+}
+
+func (s *aheadSource) Read() (survey.Record, error) {
+	if ahead := s.read - int(s.progress.Records()); ahead > s.maxAhead {
+		s.maxAhead = ahead
+	}
+	if s.read == s.n {
+		return survey.Record{}, io.EOF
+	}
+	s.read++
+	return survey.Record{
+		Type: survey.RecMatched,
+		Addr: ipaddr.Addr(0x0a000001 + uint32(s.read%64)<<8),
+		When: time.Duration(s.read) * time.Second,
+		RTT:  time.Millisecond,
+	}, nil
+}
+
+// TestRunIngestQueueBoundsReadAhead: the reader never holds more than Queue
+// plus one batch of records the store has not applied — including a Queue
+// smaller than the default batch, which shrinks the batch to fit.
+func TestRunIngestQueueBoundsReadAhead(t *testing.T) {
+	for _, queue := range []int{1, 4, 1000} {
+		t.Run(fmt.Sprint(queue), func(t *testing.T) {
+			progress := &IngestProgress{}
+			src := &aheadSource{n: 5000, progress: progress}
+			cfg := IngestConfig{
+				Open:     func() (survey.RecordSource, error) { return src, nil },
+				Queue:    queue,
+				Progress: progress,
+			}
+			stats, err := RunIngest(context.Background(), cfg, NewStore(), nil, nil)
+			if err != nil || stats.Records != 5000 || progress.Records() != 5000 {
+				t.Fatalf("Records = %d (progress %d), %v; want 5000", stats.Records, progress.Records(), err)
+			}
+			// RunIngest has returned, so the reader goroutine's writes to
+			// src happen before this read (the queue's close orders them).
+			batch := min(ingestBatch, queue)
+			if src.maxAhead < 1 || src.maxAhead > queue+batch {
+				t.Errorf("reader ran %d records ahead, want 1..%d (Queue %d + batch %d)",
+					src.maxAhead, queue+batch, queue, batch)
+			}
+		})
+	}
+}
+
+// TestRunIngestCancelMidBatch: a cancel that lands while the consumer is
+// inside a batch finishes that batch — drain stops at a batch boundary —
+// then publishes and checkpoints what the store holds.
+func TestRunIngestCancelMidBatch(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	st := NewStore()
+	var samples int64
+	st.SetClock(func() int64 {
+		// The clock runs on the consumer, once per sample: cancel inside
+		// the first batch, on the consumer's own goroutine.
+		if samples++; samples == 100 {
+			cancel()
+		}
+		return samples
+	})
+	adv := New()
+	ck := &Checkpointer{Dir: dir}
+	cfg := IngestConfig{
+		Open:         func() (survey.RecordSource, error) { return &infiniteSource{}, nil },
+		PublishEvery: 4096,
+	}
+	stats, err := RunIngest(ctx, cfg, st, adv, ck)
+	if err != nil {
+		t.Fatalf("RunIngest on cancel = %v, want nil (drain)", err)
+	}
+	if stats.Records == 0 || stats.Records%ingestBatch != 0 {
+		t.Errorf("drained after %d records, want a whole number of %d-record batches", stats.Records, ingestBatch)
+	}
+	if stats.Publishes != 1 || stats.Checkpoints != 1 {
+		t.Errorf("Publishes = %d, Checkpoints = %d; want the final one of each", stats.Publishes, stats.Checkpoints)
+	}
+	got, epoch, _, err := ck.Load()
+	if err != nil || got == nil {
+		t.Fatalf("final checkpoint unreadable: %v", err)
+	}
+	if epoch != adv.Current().Epoch() || got.Records() != stats.Records {
+		t.Errorf("checkpoint = epoch %d with %d records, want epoch %d with %d",
+			epoch, got.Records(), adv.Current().Epoch(), stats.Records)
+	}
+}
+
+// TestRunIngestSteadyStateAllocs pins the batch free list: ingesting into a
+// warm store allocates a fixed set-up cost per RunIngest, not one batch per
+// 256 records.
+func TestRunIngestSteadyStateAllocs(t *testing.T) {
+	const n = 200_000
+	recs := ingestRecs(1024)
+	st := NewStore()
+	for _, r := range recs {
+		st.Observe(r)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		cfg := IngestConfig{
+			Open: func() (survey.RecordSource, error) { return &replaySource{recs: recs, n: n}, nil },
+		}
+		if _, err := RunIngest(context.Background(), cfg, st, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := float64(n / ingestBatch / 4); allocs > max {
+		t.Errorf("RunIngest of %d records allocated %.0f times, want at most %.0f", n, allocs, max)
+	}
+}
+
+// replaySource cycles through recs for n records.
+type replaySource struct {
+	recs []survey.Record
+	n, i int
+}
+
+func (s *replaySource) Read() (survey.Record, error) {
+	if s.i == s.n {
+		return survey.Record{}, io.EOF
+	}
+	s.i++
+	return s.recs[s.i%len(s.recs)], nil
 }
