@@ -25,14 +25,16 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey
 
-# Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the P²
-# quantile invariants (FuzzP2AgainstExact), the dataset readers
+# Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
+# timing wheel's dequeue order against the reference heap (FuzzWheelVsHeap),
+# the P² quantile invariants (FuzzP2AgainstExact), the dataset readers
 # (FuzzOpenSource strict+lenient over all three formats, FuzzCompactReader
 # on the varint decoder), and the advisor store against its reference
 # three-map implementation (FuzzStoreObserve); seeds alone run in
 # `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
+	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=30s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
@@ -44,6 +46,7 @@ fuzz:
 # Faster fuzz smoke for CI: same targets, 10 s each.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=10s ./internal/simnet
+	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=10s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=10s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
@@ -136,10 +139,10 @@ metrics-check:
 	$(GO) test -race -count=1 -run 'TestProm|TestRuntimeCollector|TestHistogramQuantile|TestDebugServer|TestEscapeLabel|TestFormatValue|TestStatusClass|TestServeMetrics|TestServeInstrumented|TestHealthzIngest|TestMetricsScrape|TestWatchdog|TestAccessLogger|TestOutcomeOf|TestServeTraffic' ./internal/obs ./internal/advisor
 	$(GO) test -count=1 -run 'TestAdvisordMetricsAndAccessLog' ./cmd/advisord
 
-# The bounded-memory smoke test: the dense rank-indexed paths at
-# internet-demonstration scale — a 2^24-address scan and a 4M-address survey
-# — must finish with peak heap under the budget pinned in scale_test.go
-# (64 MB; the map paths would need ~1.6 GB for the scan). -count=1 because a
+# The bounded-memory smoke test: the rank-indexed survey, scan and radio
+# state at internet-demonstration scale — a 2^24-address scan and a
+# 4M-address survey — must finish with peak heap under the budget pinned in
+# scale_test.go (64 MB; per-address maps needed ~1.6 GB for the scan). -count=1 because a
 # cached pass never exercised the allocator.
 scale-check:
 	SCALE_CHECK=1 $(GO) test -count=1 -run 'TestScaleCheck' -v .

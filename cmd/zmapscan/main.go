@@ -6,7 +6,7 @@
 // Usage:
 //
 //	zmapscan [-blocks 512] [-seed 42] [-scanseed 1] [-duration 90m] [-top 10]
-//	         [-parallel N] [-dense] [-fault-seed N] [-fault-corrupt F]
+//	         [-parallel N] [-fault-seed N] [-fault-corrupt F]
 //	         [-fault-truncate F] [-fault-dup F]
 //	         [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
@@ -16,11 +16,10 @@
 // byte-identical to the sequential scan. -parallel 0 selects one shard per
 // CPU.
 //
-// With -dense the scanner and the network model switch to flat
-// rank-indexed state (a self-rescheduling probe pump, bitset dedup, a
-// bounded radio-state table) instead of per-address maps — the
-// configuration for internet-size -blocks values, with output again
-// byte-identical to the default path.
+// The scanner and the network model keep flat rank-indexed state (a
+// self-rescheduling probe pump, a first-response bitset over probe ranks,
+// a bounded radio-state table), so memory stays flat at internet-size
+// -blocks values.
 //
 // The -fault-* flags drive the deterministic fault-injection layer: matching
 // rates of in-flight packets are bit-flipped, truncated or duplicated inside
@@ -60,7 +59,6 @@ func main() {
 		top      = flag.Int("top", 10, "AS ranking size")
 		catalog  = flag.String("catalog", "", "JSON AS-catalog file (default: built-in catalog)")
 		parallel = flag.Int("parallel", 1, "shard count for the parallel engine (1 = sequential, 0 = one per CPU)")
-		dense    = flag.Bool("dense", false, "flat rank-indexed scanner and model state: bounded memory at large -blocks, byte-identical output")
 
 		faultSeed     = flag.Uint64("fault-seed", 1, "fault-injection seed (faults are a pure function of it)")
 		faultCorrupt  = flag.Float64("fault-corrupt", 0, "wire fault rate: bit-flip a delivered packet")
@@ -111,9 +109,6 @@ func main() {
 		Faults: plan,
 		Obs:    cli.Reg, Trace: cli.Tracer,
 	}
-	if *dense {
-		cfg.Dense, cfg.TargetIndex = true, pop.IndexOf
-	}
 
 	start := time.Now()
 	var sc *zmapper.Scan
@@ -121,13 +116,11 @@ func main() {
 	if *parallel > 1 {
 		sc, err = zmapper.RunSharded(cfg, *parallel, func(int) simnet.Fabric {
 			model := netmodel.NewModel(pop)
-			model.SetDense(*dense)
 			model.AddVantage(src, ipmeta.NorthAmerica)
 			return model
 		})
 	} else {
 		model := netmodel.NewModel(pop)
-		model.SetDense(*dense)
 		model.AddVantage(src, ipmeta.NorthAmerica)
 		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
 		sc, err = zmapper.Run(net, cfg)

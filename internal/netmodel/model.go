@@ -49,15 +49,17 @@ type hostState struct {
 
 // Model implements simnet.Fabric over a Population: it turns probe packets
 // into the deliveries a 2015-Internet host population would have produced.
+//
+// A Model is driven by one scheduler whose clock only moves forward: the
+// cellular radio state lives in a bounded table that forgets a radio once
+// the clock is radioHorizon past its last activity (radio.go), which is
+// exact only while probe times never go backwards. To reuse a model under
+// a new scheduler — a new clock that may start earlier — call
+// ResetRadioState first. Sharded runs build one Model per shard.
 type Model struct {
 	pop      *Population
 	vantages map[ipaddr.Addr]ipmeta.Continent
-	state    map[ipaddr.Addr]*hostState
-
-	// denseRadio, when non-nil, replaces state with the bounded
-	// open-addressing table (SetDense); see densestate.go for the
-	// equivalence argument.
-	denseRadio *radioTable
+	radio    radioTable // per-host radio state; see radio.go
 
 	// Per-call scratch. Respond is invoked synchronously from Send, which
 	// consumes the returned slice before the next probe, so the delivery
@@ -78,12 +80,12 @@ type Model struct {
 	}
 }
 
-// NewModel wraps a population in a fabric.
+// NewModel wraps a population in a fabric, for one monotone scheduler
+// clock (see Model).
 func NewModel(pop *Population) *Model {
 	return &Model{
 		pop:      pop,
 		vantages: make(map[ipaddr.Addr]ipmeta.Continent),
-		state:    make(map[ipaddr.Addr]*hostState),
 	}
 }
 
@@ -97,17 +99,11 @@ func (m *Model) AddVantage(addr ipaddr.Addr, c ipmeta.Continent) {
 }
 
 // ResetRadioState clears cellular radio state, as if all devices had been
-// idle for a long time. Tools use it between independent experiments. In
-// dense mode this is O(1): the bounded table is simply dropped, which is
-// exactly equivalent to a fresh model (a missing entry and a long-idle
-// entry behave identically in wakeHold).
-func (m *Model) ResetRadioState() {
-	if m.denseRadio != nil {
-		*m.denseRadio = radioTable{}
-		return
-	}
-	m.state = make(map[ipaddr.Addr]*hostState)
-}
+// idle for a long time, leaving the model equivalent to a fresh one. It is
+// required before the model is driven by another scheduler clock (see
+// Model). It is O(1): the bounded table is simply dropped (a missing entry
+// and a long-idle entry behave identically in wakeHold).
+func (m *Model) ResetRadioState() { m.radio = radioTable{} }
 
 // Respond implements simnet.Fabric.
 func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.Delivery {
@@ -371,16 +367,7 @@ func (m *Model) congLevel(pr *Profile) float64 {
 // it is ready — which is why the paper sees RTT1-RTT2 differences of almost
 // exactly the probe spacing (Figure 12).
 func (m *Model) wakeHold(pr *Profile, t float64) float64 {
-	var st *hostState
-	if m.denseRadio != nil {
-		st = m.denseRadio.get(uint32(pr.Addr), t)
-	} else {
-		st = m.state[pr.Addr]
-		if st == nil {
-			st = &hostState{}
-			m.state[pr.Addr] = st
-		}
-	}
+	st := m.radio.get(uint32(pr.Addr), t)
 	var hold float64
 	switch {
 	case st.used && t < st.wakeUntil:

@@ -2,7 +2,7 @@ package simnet
 
 import "math/bits"
 
-// Hierarchical timing wheel (Varghese & Lauck), the scheduler's default
+// Hierarchical timing wheel (Varghese & Lauck), the scheduler's
 // engine. Six levels of 256 slots each cover the whole non-negative int64
 // nanosecond range: a level-l slot spans 2^(16+8l) ns, so level 0 buckets
 // ~65.5 µs of sim time and level 5 slots span ~833 days. Inserting hashes
@@ -11,7 +11,7 @@ import "math/bits"
 // stretches costs O(levels), not O(slots).
 //
 // Determinism is preserved exactly — same (at, seq) dequeue order as the
-// reference heap — by construction:
+// reference binary heap (heap_test.go) — by construction:
 //
 //   - An event is inserted at the smallest level at which its time shares a
 //     parent slot with the wheel cursor ("window-relative" indexing). Lower
